@@ -6,7 +6,9 @@
 // and match the sequential engine up to gradient-sum reassociation, so the
 // rows measure pure execution overlap. On a host with >= W cores the
 // threaded rows should approach W-fold items/s once per-microbatch compute
-// dominates queue and snapshot-assembly overhead.
+// dominates claim and snapshot-assembly overhead. Times are wall-clock
+// (UseRealTime): the work runs on pool threads, so the main thread's CPU
+// time would overstate items/s.
 //
 // google-benchmark target: bench_micro_threaded_hogwild
 //   [--benchmark_filter=...] [--benchmark_min_time=...]
@@ -65,9 +67,9 @@ void BM_HogwildBackendStep(benchmark::State& state, const std::string& backend) 
   }
 }
 BENCHMARK_CAPTURE(BM_HogwildBackendStep, hogwild, "hogwild")
-    ->Arg(0)->Unit(benchmark::kMillisecond);
+    ->Arg(0)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(BM_HogwildBackendStep, threaded_hogwild, "threaded_hogwild")
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

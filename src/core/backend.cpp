@@ -150,8 +150,14 @@ BackendRegistry::BackendRegistry() {
       },
       [](nn::Model model, const BackendConfig&, const pipeline::EngineConfig& engine,
          std::uint64_t seed) -> std::unique_ptr<ExecutionBackend> {
-        return std::make_unique<ThreadedBackend>("threaded", std::move(model), engine,
-                                                 seed);
+        // Stage-per-thread scheduling: one home worker per stage, no
+        // stealing.
+        sched::StealConfig cfg;
+        cfg.engine = engine;
+        cfg.workers = engine.num_stages;
+        cfg.mode = sched::StealMode::Disabled;
+        return std::make_unique<ThreadedStealBackend>("threaded", std::move(model),
+                                                      std::move(cfg), seed);
       });
 
   register_backend(

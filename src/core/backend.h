@@ -21,9 +21,10 @@ namespace pipemare::core {
 
 /// The engine concept `core::train_loop` is templated over, as a
 /// first-class polymorphic interface. Every execution substrate — the
-/// analytic sequential pipeline, the stage-per-thread pipeline, and the
-/// sequential / multithreaded Hogwild! backends — implements this surface,
-/// and `core::train` drives whichever one the `BackendRegistry` resolves
+/// analytic sequential pipeline, the worker-pool pipeline (stage-per-thread
+/// or work-stealing), and the sequential / multithreaded Hogwild! backends
+/// — implements this surface, and `core::train` drives whichever one the
+/// `BackendRegistry` resolves
 /// from `TrainerConfig::backend`. `train_loop` stays templated, so direct
 /// (devirtualized) engine use keeps working; the virtual path is the
 /// public entry point.
@@ -113,8 +114,10 @@ struct SequentialOptions {
   static constexpr std::string_view kName = "SequentialOptions";
 };
 
-/// "threaded" — the stage-per-thread ThreadedEngine. No extra knobs;
-/// rejects engine.recompute_segments > 0 (an analytic-engine feature).
+/// "threaded" — stage-per-thread scheduling on the one worker pool: a
+/// sched::StealingEngine with one worker per stage and stealing disabled.
+/// No extra knobs; rejects engine.recompute_segments > 0 (an
+/// analytic-engine feature).
 struct ThreadedOptions {
   static constexpr std::string_view kName = "ThreadedOptions";
 };

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "src/core/engine_backend.h"
 #include "src/obs/metrics.h"
 
 namespace pipemare::core {
@@ -26,31 +25,13 @@ void MetricsObserver::on_epoch(EpochRecord& record) {
   if (!record.is_divergence_record()) gauge("train.metric").set(record.metric);
   gauge("train.param_norm").set(record.param_norm);
 
-  // Engine-specific instrumentation that lives behind the concrete
-  // surfaces (no ExecutionBackend virtuals for these — they are
-  // engine-private notions, mirrored into the registry here so every
-  // consumer reads one uniform snapshot).
-  if (const auto* threaded = dynamic_cast<const ThreadedBackend*>(backend_)) {
-    const auto lanes = threaded->engine().lane_stats();
-    for (std::size_t s = 0; s < lanes.size(); ++s) {
-      const std::string prefix =
-          "pipeline.mailbox.stage" + std::to_string(s) + ".";
-      gauge(prefix + "fwd_high_water")
-          .set(static_cast<double>(lanes[s].fwd_high_water));
-      gauge(prefix + "bwd_high_water")
-          .set(static_cast<double>(lanes[s].bwd_high_water));
-      gauge(prefix + "inflight_high_water")
-          .set(static_cast<double>(lanes[s].inflight_high_water));
-    }
-  }
-  if (const auto* steal = dynamic_cast<const ThreadedStealBackend*>(backend_)) {
-    // Cumulative engine-side truth (the "sched.steal_log_dropped" counter
-    // only sees drops since process start across all engines; this gauge
-    // is this engine's exact current value).
-    gauge("sched.dropped_log_entries")
-        .set(static_cast<double>(steal->engine().dropped_log_entries()));
-    gauge("sched.total_steals")
-        .set(static_cast<double>(steal->engine().total_steals()));
+  // Steals since construction (or the last stats reset), summed over the
+  // backend's slots; uninstrumented backends report no slots.
+  const auto stats = backend_->stage_stats();
+  if (!stats.empty()) {
+    std::uint64_t steals = 0;
+    for (const auto& s : stats) steals += s.stolen_items;
+    gauge("sched.total_steals").set(static_cast<double>(steals));
   }
 
   if (!metrics_path_.empty()) {

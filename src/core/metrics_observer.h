@@ -3,12 +3,10 @@
 // StepObserver that surfaces the backend's observability state through the
 // obs::MetricsRegistry at every epoch boundary: curve-level gauges
 // (train.epoch / train.loss / train.metric / train.param_norm), the
-// backend-specific instrumentation that only exists behind a concrete
-// engine surface (ThreadedEngine's StageMailbox lane high-water marks,
-// StealingEngine's cumulative dropped steal-log entries), and — when a
-// --metrics=<file> path is set — a JSON snapshot of the whole registry
-// rewritten after each epoch, so a run killed mid-training still leaves
-// its latest metrics on disk. core::train installs one automatically when
+// cumulative steal count read through ExecutionBackend::stage_stats(), and
+// — when a --metrics=<file> path is set — a JSON snapshot of the whole
+// registry rewritten after each epoch, so a run killed mid-training still
+// leaves its latest metrics on disk. core::train installs one automatically when
 // TrainerConfig::metrics_path is non-empty; direct train_loop users append
 // one to their observer list themselves.
 
@@ -20,7 +18,7 @@
 namespace pipemare::core {
 
 /// Epoch-boundary metrics snapshotter. Runs fine ahead of or behind the
-/// RepartitionObserver — it reads engine accessors that are valid between
+/// RepartitionObserver — it reads backend accessors that are valid between
 /// minibatches and never resets backend counters itself.
 class MetricsObserver final : public StepObserver {
  public:

@@ -12,8 +12,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/engine_backend.h"
+#include "src/core/backend.h"
 #include "src/core/trainer.h"
+#include "src/pipeline/partition.h"
 
 namespace pipemare::core {
 
@@ -22,8 +23,7 @@ namespace pipemare::core {
 /// Works over any ExecutionBackend: backends without per-slot
 /// instrumentation (sequential, hogwild) report empty stats and the
 /// observer deactivates itself. Attach to a backend created by the
-/// registry, or to a ThreadedEngine directly, then pass to train_loop's
-/// observer list:
+/// registry, then pass to train_loop's observer list:
 ///
 ///   auto backend = BackendRegistry::instance().create(...);
 ///   StageLoadObserver load(*backend);
@@ -36,14 +36,12 @@ class StageLoadObserver final : public StepObserver {
 
   explicit StageLoadObserver(const ExecutionBackend& backend)
       : backend_(&backend) {}
-  explicit StageLoadObserver(const pipeline::ThreadedEngine& engine)
-      : engine_(&engine) {}
 
   /// False when the observed backend has no per-slot instrumentation.
-  bool active() const { return !sample().empty(); }
+  bool active() const { return !backend_->stage_stats().empty(); }
 
   void on_epoch(EpochRecord& /*record*/) override {
-    auto cumulative = sample();
+    auto cumulative = backend_->stage_stats();
     if (cumulative.empty()) return;
     auto delta = cumulative;
     if (last_.size() != cumulative.size()) {
@@ -81,7 +79,7 @@ class StageLoadObserver final : public StepObserver {
   /// the since() fallback) per stage.
   void on_method_switch(pipeline::Method /*from*/, pipeline::Method /*to*/,
                         int /*epoch*/) override {
-    last_ = sample();
+    last_ = backend_->stage_stats();
   }
   void on_repartition(const pipeline::Partition& /*from*/,
                       const pipeline::Partition& /*to*/, int /*epoch*/) override {
@@ -107,13 +105,7 @@ class StageLoadObserver final : public StepObserver {
   }
 
  private:
-  std::vector<StageStats> sample() const {
-    if (engine_ != nullptr) return engine_->stage_stats();
-    return backend_->stage_stats();
-  }
-
-  const ExecutionBackend* backend_ = nullptr;
-  const pipeline::ThreadedEngine* engine_ = nullptr;
+  const ExecutionBackend* backend_;
   std::vector<StageStats> last_;
   std::vector<std::vector<StageStats>> epoch_stats_;
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -34,25 +35,10 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
                   pipeline::make_partition(model, cfg_.num_stages, cfg_.split_bias,
                                            cfg_.partition))),
       mean_delay_(resolve_mean_delay(cfg_)),
-      delay_rng_(seed ^ 0x9e3779b97f4a7c15ULL),
-      // Forward lane as a plain multi-consumer work queue: items are bare
-      // microbatch indices (inputs stay with the caller), so the lane
-      // capacity is a queue depth, not an activation-memory bound; credit
-      // gating is a single-consumer protocol and stays disabled.
-      work_(static_cast<std::size_t>(cfg_.num_microbatches),
-            pipeline::StageMailbox::kUnboundedCredits) {
+      delay_rng_(seed ^ 0x9e3779b97f4a7c15ULL) {
   // The probe microbatch is consumed by make_partition above; don't keep
   // its tensors alive for the whole engine lifetime.
   cfg_.partition.probe.reset();
-  for (int m = 0; m < model_.num_modules(); ++m) {
-    if (model_.module(m).stateful_forward()) {
-      throw std::invalid_argument(
-          "ThreadedHogwildEngine: module '" + model_.module(m).name() +
-          "' mutates state in forward (stateful_forward); concurrent "
-          "whole-model replicas would race on it. Use HogwildEngine or the "
-          "stage-partitioned ThreadedEngine instead.");
-    }
-  }
 
   live_.assign(static_cast<std::size_t>(model.param_count()), 0.0F);
   util::Rng init_rng(seed);
@@ -64,39 +50,21 @@ ThreadedHogwildEngine::ThreadedHogwildEngine(const nn::Model& model, HogwildConf
   unit_version_.assign(static_cast<std::size_t>(partition_.num_units()), 0);
   staleness_ = pipeline::staleness_histograms(cfg_.num_stages);
 
-  int w = resolve_worker_count(cfg_);
-  stats_.assign(static_cast<std::size_t>(w), pipeline::StageStats{});
-  workers_.reserve(static_cast<std::size_t>(w));
-  try {
-    for (int i = 0; i < w; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-  } catch (...) {
-    // Same partial-spawn recovery as ThreadedEngine: join what started so
-    // destroying joinable std::threads does not std::terminate.
-    {
-      util::MutexLock lock(ctrl_m_);
-      shutdown_ = true;
-    }
-    ctrl_go_.notify_all();
-    for (auto& worker : workers_) worker.join();
-    throw;
-  }
+  const auto w = static_cast<std::size_t>(resolve_worker_count(cfg_));
+  stats_.assign(w, pipeline::StageStats{});
+  generation_busy_ns_.assign(w, 0);
+  scratch_.resize(w);
+  // Spawn last: drain() touches every field above.
+  pool_ = std::make_unique<sched::WorkerPool>(static_cast<int>(w),
+                                              [this](int worker) { drain(worker); });
 }
 
-ThreadedHogwildEngine::~ThreadedHogwildEngine() {
-  {
-    util::MutexLock lock(ctrl_m_);
-    shutdown_ = true;
-  }
-  ctrl_go_.notify_all();
-  for (auto& worker : workers_) worker.join();
-}
+ThreadedHogwildEngine::~ThreadedHogwildEngine() = default;
 
 void ThreadedHogwildEngine::record_failure(const char* what) {
   bool expected = false;
   if (mb_failed_.compare_exchange_strong(expected, true)) {
-    util::MutexLock lock(ctrl_m_);
+    util::MutexLock lock(error_m_);
     mb_error_ = what;
   }
 }
@@ -159,47 +127,25 @@ void ThreadedHogwildEngine::process_micro(int micro, std::vector<float>& w,
   }
 }
 
-void ThreadedHogwildEngine::worker_loop(int worker) {
-  std::vector<float> w(live_.size());
-  pipeline::StageStats& stats = stats_[static_cast<std::size_t>(worker)];
-  std::uint64_t seen = 0;
-  for (;;) {
+void ThreadedHogwildEngine::drain(int worker) {
+  const auto slot = static_cast<std::size_t>(worker);
+  std::vector<float>& w = scratch_[slot];
+  // Sized by its own worker on first use, off the constructor's path.
+  if (w.empty()) w.resize(live_.size());
+  pipeline::StageStats& stats = stats_[slot];
+  std::uint64_t busy = 0;
+  bool w_ready = false;
+  for (int m = next_micro_.fetch_add(1); m < mb_micros_; m = next_micro_.fetch_add(1)) {
+    auto t0 = Clock::now();
     {
-      util::MutexLock lock(ctrl_m_);
-      while (!shutdown_ && generation_ <= seen) ctrl_go_.wait(ctrl_m_);
-      if (shutdown_) return;
-      seen = generation_;
+      obs::Span span("micro", "hogwild", -1, m, step_);
+      process_micro(m, w, w_ready);
     }
-    if (obs::TraceRecorder::instance().enabled()) {
-      obs::TraceRecorder::instance().set_thread_name("hogwild-worker-" +
-                                                     std::to_string(worker));
-    }
-    bool w_ready = false;
-    for (;;) {
-      // Pop wait measures in-minibatch starvation only (the wait for the
-      // next generation is between-minibatch idle, not queue contention).
-      auto t_pop = Clock::now();
-      pipeline::StageItem item;
-      {
-        obs::Span bubble("pop_wait", "hogwild", -1, -1, step_);
-        item = work_.pop();
-      }
-      stats.pop_wait_ns += ns_between(t_pop, Clock::now());
-      if (item.micro < 0) break;  // one sentinel per worker per minibatch
-      auto t0 = Clock::now();
-      {
-        obs::Span span("micro", "hogwild", -1, item.micro, step_);
-        process_micro(item.micro, w, w_ready);
-      }
-      stats.busy_ns += ns_between(t0, Clock::now());
-      ++stats.items;
-    }
-    {
-      util::MutexLock lock(ctrl_m_);
-      ++done_count_;
-    }
-    ctrl_done_.notify_one();
+    busy += ns_between(t0, Clock::now());
+    ++stats.items;
   }
+  stats.busy_ns += busy;
+  generation_busy_ns_[slot] = busy;
 }
 
 ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
@@ -237,32 +183,28 @@ ThreadedHogwildEngine::StepResult ThreadedHogwildEngine::forward_backward(
     }
   }
 
+  mb_inputs_ = &micro_inputs;
+  mb_targets_ = &micro_targets;
+  mb_head_ = &head;
+  mb_micros_ = n;
+  next_micro_.store(0);
+  mb_failed_.store(false);
   {
-    util::MutexLock lock(ctrl_m_);
-    mb_inputs_ = &micro_inputs;
-    mb_targets_ = &micro_targets;
-    mb_head_ = &head;
-    mb_failed_.store(false);
+    util::MutexLock lock(error_m_);
     mb_error_.clear();
-    done_count_ = 0;
-    ++generation_;
   }
-  ctrl_go_.notify_all();
-  for (int m = 0; m < n; ++m) {
-    work_.push_forward({pipeline::StageItem::Kind::Forward, m, {}});
+  const auto t0 = Clock::now();
+  pool_->run_generation();
+  const std::uint64_t generation_ns = ns_between(t0, Clock::now());
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
+    stats_[i].pop_wait_ns += generation_ns - std::min(generation_ns, generation_busy_ns_[i]);
   }
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    work_.push_forward({pipeline::StageItem::Kind::Forward, -1, {}});
-  }
-  {
-    util::MutexLock lock(ctrl_m_);
-    while (done_count_ != static_cast<int>(workers_.size())) ctrl_done_.wait(ctrl_m_);
-    mb_inputs_ = nullptr;
-    mb_targets_ = nullptr;
-    mb_head_ = nullptr;
-    if (mb_failed_.load()) {
-      throw std::runtime_error("ThreadedHogwildEngine worker failed: " + mb_error_);
-    }
+  mb_inputs_ = nullptr;
+  mb_targets_ = nullptr;
+  mb_head_ = nullptr;
+  if (mb_failed_.load()) {
+    util::MutexLock lock(error_m_);
+    throw std::runtime_error("ThreadedHogwildEngine worker failed: " + mb_error_);
   }
 
   // Deterministic merge in microbatch order, matching the sequential

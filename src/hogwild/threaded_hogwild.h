@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/hogwild/hogwild.h"
@@ -13,33 +12,34 @@
 #include "src/optim/optimizer.h"
 #include "src/pipeline/engine.h"
 #include "src/pipeline/partition.h"
-#include "src/pipeline/stage_mailbox.h"
 #include "src/pipeline/stage_stats.h"
+#include "src/sched/worker_pool.h"
 #include "src/util/rng.h"
 #include "src/util/sync.h"
 
 namespace pipemare::hogwild {
 
-/// Multithreaded Hogwild! backend (Appendix E): W free-running worker
-/// threads execute the minibatch's microbatches concurrently, each reading
-/// lock-free against the shared `live_` vector / per-stage delayed weight
-/// snapshots and writing its results into per-microbatch slots.
+/// Multithreaded Hogwild! backend (Appendix E): the W workers of a
+/// sched::WorkerPool execute the minibatch's microbatches concurrently,
+/// each reading lock-free against the shared `live_` vector / per-stage
+/// delayed weight snapshots and writing its results into per-microbatch
+/// slots.
 ///
-/// Work distribution reuses the pipeline's StageMailbox (forward lane as a
-/// multi-consumer work queue; credits disabled — credit accounting is a
-/// single-consumer protocol). Delayed snapshots are served from the same
-/// bounded version-history ring HogwildEngine keeps, behind a seqlock-style
-/// epoch: `commit_update` brackets its history write with epoch increments
-/// (odd = writer active) and snapshot readers retry until they observe a
-/// stable even epoch. Within the current trainer the generation barrier
-/// orders commits strictly before worker reads — that barrier, not the
-/// epoch, is what makes the reads race-free (and what ThreadSanitizer
-/// verifies). The epoch is a protocol sketch for future free-running
-/// (commit-while-reading) modes; enabling those additionally requires
-/// race-free slot storage (atomic data words or swapped version buffers),
-/// since a retried plain-copy of bytes a writer is mutating is still a
-/// data race. Each worker assembles its own snapshot view (rather than
-/// sharing one trainer-built buffer, which the barrier would permit)
+/// Work distribution is one atomic claim cursor: every microbatch is known
+/// before the workers are released, so each worker claims the next index
+/// with fetch_add until the cursor passes N. Delayed snapshots are served
+/// from the same bounded version-history ring HogwildEngine keeps, behind a
+/// seqlock-style epoch: `commit_update` brackets its history write with
+/// epoch increments (odd = writer active) and snapshot readers retry until
+/// they observe a stable even epoch. Within the current trainer the pool's
+/// generation barrier orders commits strictly before worker reads — that
+/// barrier, not the epoch, is what makes the reads race-free (and what
+/// ThreadSanitizer verifies). The epoch is a protocol sketch for future
+/// free-running (commit-while-reading) modes; enabling those additionally
+/// requires race-free slot storage (atomic data words or swapped version
+/// buffers), since a retried plain-copy of bytes a writer is mutating is
+/// still a data race. Each worker assembles its own snapshot view (rather
+/// than sharing one trainer-built buffer, which the barrier would permit)
 /// precisely to keep that read path in place.
 ///
 /// Determinism: the per-step stage delays are sampled once on the trainer
@@ -53,13 +53,11 @@ namespace pipemare::hogwild {
 /// per backward — bias columns, convolutions — see a different addition
 /// order; losses and weight views are otherwise identical). Tests assert
 /// run-to-run bitwise equality and sequential parity to tight tolerance.
-/// The one restriction: models whose modules mutate internal state in
-/// `forward` (Module::stateful_forward) are rejected, since whole-model
-/// replicas would race on that state. No in-tree module trips it anymore:
-/// Dropout derives its masks from counter-based streams (pure functions
-/// of module seed / step / microbatch / element, stamped on the Flow), so
-/// the Transformer analogs run here with masks bitwise-identical to the
-/// sequential HogwildEngine's.
+/// Whole-model replicas are safe because modules are stateless (see
+/// nn::Module): Dropout derives its masks from counter-based streams (pure
+/// functions of module seed / step / microbatch / element, stamped on the
+/// Flow), so the Transformer analogs run here with masks bitwise-identical
+/// to the sequential HogwildEngine's.
 ///
 /// The surface matches the core::train_loop engine concept / the
 /// core::ExecutionBackend interface; it is registered with the
@@ -93,17 +91,18 @@ class ThreadedHogwildEngine {
 
   const nn::Model& model() const { return model_; }
   const pipeline::Partition& partition() const { return partition_; }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return pool_->size(); }
 
   /// Per-stage delay expectations (what T1 divides by).
   std::vector<double> stage_tau_fwd() const { return mean_delay_; }
 
-  /// Per-*worker* load counters (this backend has no stage workers; its
-  /// unit of execution parallelism is the free-running worker thread):
-  /// busy_ns = compute of the microbatches the worker processed,
-  /// pop_wait_ns = blocked in the work-queue pop (idle/starved), items =
-  /// microbatches processed. Cumulative since construction (or the last
-  /// reset); the same shape ThreadedEngine reports per stage, so
+  /// Per-*worker* load counters (this backend has no stages to execute;
+  /// its unit of execution parallelism is the pool worker): busy_ns =
+  /// compute of the microbatches the worker processed, pop_wait_ns = the
+  /// part of each step's generation in which the worker held no
+  /// microbatch (idle/starved), items = microbatches processed.
+  /// Cumulative since construction (or the last reset); the same shape the
+  /// stage-partitioned backends report per stage, so
   /// core::StageLoadObserver samples every multithreaded backend
   /// uniformly. Call between minibatches (the generation barrier orders
   /// worker writes before the read).
@@ -114,7 +113,7 @@ class ThreadedHogwildEngine {
                                             std::span<const double> scales) const;
 
  private:
-  void worker_loop(int worker);
+  void drain(int worker);
   void process_micro(int micro, std::vector<float>& w, bool& w_ready);
   void assemble_delayed_weights(std::vector<float>& w) const;
   void record_failure(const char* what);
@@ -153,11 +152,11 @@ class ThreadedHogwildEngine {
   /// shared cross-backend metric family (pipeline::staleness_histograms).
   std::vector<obs::Histogram*> staleness_;
 
-  // Per-minibatch context; workers read between the go and done barriers.
-  // Barrier-published like ThreadedEngine's minibatch block (not
-  // GUARDED_BY: the lock-free worker reads are the point; the generation
-  // barrier's ctrl_m_ release/acquire pair publishes them).
-  pipeline::StageMailbox work_;  ///< forward lane = multi-consumer work queue
+  // Per-minibatch context; workers read it inside the pool generation.
+  // Barrier-published (not GUARDED_BY: the lock-free worker reads are the
+  // point; the WorkerPool generation barrier publishes them).
+  std::atomic<int> next_micro_{0};  ///< claim cursor; reset before release
+  int mb_micros_ = 0;               ///< N of the current minibatch
   const std::vector<nn::Flow>* mb_inputs_ = nullptr;
   const std::vector<tensor::Tensor>* mb_targets_ = nullptr;
   const nn::LossHead* mb_head_ = nullptr;
@@ -167,20 +166,17 @@ class ThreadedHogwildEngine {
   std::vector<std::vector<float>> micro_grads_;
   std::vector<std::vector<nn::Cache>> caches_;  ///< per microbatch
   std::atomic<bool> mb_failed_{false};
-  std::string mb_error_ GUARDED_BY(ctrl_m_);  ///< first worker exception
+  util::Mutex error_m_;
+  std::string mb_error_ GUARDED_BY(error_m_);  ///< first worker exception
 
-  /// Per-worker load counters. Each slot is written only by its worker;
-  /// readers run between minibatches, ordered by the completion barrier
-  /// (ctrl_m_ release/acquire), so plain fields suffice.
-  std::vector<pipeline::StageStats> stats_;
+  /// Per-worker slots, each written only by its worker; readers run
+  /// between minibatches, ordered by the pool's generation barrier, so
+  /// plain fields suffice.
+  std::vector<pipeline::StageStats> stats_;        ///< load counters
+  std::vector<std::uint64_t> generation_busy_ns_;  ///< busy in the last step
+  std::vector<std::vector<float>> scratch_;        ///< delayed-weight view
 
-  util::Mutex ctrl_m_;
-  util::CondVar ctrl_go_;
-  util::CondVar ctrl_done_;
-  std::uint64_t generation_ GUARDED_BY(ctrl_m_) = 0;
-  int done_count_ GUARDED_BY(ctrl_m_) = 0;
-  bool shutdown_ GUARDED_BY(ctrl_m_) = false;
-  std::vector<std::thread> workers_;
+  std::unique_ptr<sched::WorkerPool> pool_;  ///< last member: joins first
 };
 
 }  // namespace pipemare::hogwild

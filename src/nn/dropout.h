@@ -13,9 +13,8 @@ namespace pipemare::nn {
 /// mask bit is a pure function of (module seed, optimizer step, microbatch
 /// index, element index), with step and micro stamped on the Flow by the
 /// execution engines. No mutable RNG state means
-///  - forward is thread-safe (stateful_forward() is false), so the
-///    whole-model-replica backends (threaded Hogwild) can run dropout
-///    models;
+///  - forward mutates no module state, so the whole-model-replica
+///    backends (threaded Hogwild) can run dropout models;
 ///  - masks are independent of draw order, so every engine produces
 ///    bitwise-identical masks for the same (step, micro);
 ///  - activation recomputation replays the exact forward mask (the

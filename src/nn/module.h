@@ -88,7 +88,8 @@ struct FlowEffects {
 ///
 /// Modules are stateless: all parameters live in externally owned flat
 /// vectors, which makes weight versioning, stashing and the T2 buffer
-/// trivial for the pipeline engine.
+/// trivial for the pipeline engine, and `forward` mutates nothing but its
+/// cache, so concurrent whole-model replicas (threaded Hogwild) are safe.
 class Module {
  public:
   virtual ~Module() = default;
@@ -116,12 +117,6 @@ class Module {
   /// would be understated, so user modules should override this alongside
   /// forward/backward.
   virtual FlowEffects flow_effects() const { return {}; }
-
-  /// True when `forward` mutates module-owned state, making concurrent
-  /// whole-model forward replicas unsafe. No in-tree module is stateful
-  /// anymore (Dropout moved to counter-based mask streams), but the gate
-  /// stays for user modules; ThreadedHogwildEngine rejects them.
-  virtual bool stateful_forward() const { return false; }
 
   /// Analytic per-microbatch cost estimate (see ModuleCost). The default
   /// charges one flop per input element plus two per parameter; every

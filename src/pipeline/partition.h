@@ -94,8 +94,7 @@ int max_stages(const nn::Model& model, bool split_bias);
 /// unit_last). With split_bias a module's bias unit may be *scheduled* on
 /// the next stage while the module executes here; the unit range follows
 /// module ownership, and each unit's staleness follows its own scheduled
-/// stage. Shared by ThreadedEngine and sched::StealingEngine (and
-/// recomputed by both on repartition()).
+/// stage. Used by sched::StealingEngine (and recomputed on repartition()).
 struct StageModuleRange {
   int module_first = 0;
   int module_last = 0;

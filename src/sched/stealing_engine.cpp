@@ -77,7 +77,6 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   cfg_.engine.partition.probe.reset();
   grads_.assign(store_.live().size(), 0.0F);
 
-  // Stage -> module/unit ranges, shared with ThreadedEngine.
   ranges_ = pipeline::stage_module_ranges(partition_);
 
   const int p = cfg_.engine.num_stages;
@@ -91,6 +90,9 @@ StealingEngine::StealingEngine(const nn::Model& model, StealConfig cfg,
   micro_count_.assign(static_cast<std::size_t>(n), 0.0);
   next_bwd_.assign(static_cast<std::size_t>(p), 0);
   bwd_ready_.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(n), 0);
+  fwd_parked_.assign(bwd_ready_.size(), 0);
+  in_flight_.assign(static_cast<std::size_t>(p), 0);
+  peak_in_flight_.assign(static_cast<std::size_t>(p), 0);
 
   queues_.reserve(static_cast<std::size_t>(p));
   for (int s = 0; s < p; ++s) queues_.push_back(std::make_unique<TaskQueue>());
@@ -134,13 +136,34 @@ void StealingEngine::record_failure(const char* what) {
   }
 }
 
-void StealingEngine::enqueue(const Task& task) {
-  queues_[static_cast<std::size_t>(task.stage)]->push(task);
+int StealingEngine::credits(int stage) const {
+  return std::min(cfg_.engine.num_microbatches, cfg_.engine.num_stages - stage);
+}
+
+void StealingEngine::admit_forward(int stage, int micro) {
+  const auto s = static_cast<std::size_t>(stage);
+  queues_[s]->push({Task::Kind::Forward, stage, micro});
+  ++push_version_;
+  ++in_flight_[s];
+  peak_in_flight_[s] = std::max(peak_in_flight_[s], in_flight_[s]);
+}
+
+void StealingEngine::forward_ready(int stage, int micro) {
+  bool admitted = false;
   {
     util::MutexLock lock(sched_m_);
-    ++push_version_;
+    // 1F1B credit gate; a parked forward is admitted by the backward-chain
+    // advance that lifts the bound past it (run_backward).
+    if (micro < next_bwd_[static_cast<std::size_t>(stage)] + credits(stage)) {
+      admit_forward(stage, micro);
+      admitted = true;
+    } else {
+      fwd_parked_[static_cast<std::size_t>(stage) *
+                      static_cast<std::size_t>(cfg_.engine.num_microbatches) +
+                  static_cast<std::size_t>(micro)] = 1;
+    }
   }
-  sched_cv_.notify_all();
+  if (admitted) sched_cv_.notify_all();
 }
 
 void StealingEngine::mark_backward_ready(int stage, int micro) {
@@ -263,8 +286,11 @@ void StealingEngine::execute(int worker, const Task& task, bool stolen,
   AtomicStageCounters& sc = stage_counters_[static_cast<std::size_t>(task.stage)];
   sc.busy_ns.fetch_add(busy, std::memory_order_relaxed);
   sc.items.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) sc.stolen_ns.fetch_add(busy, std::memory_order_relaxed);
   StageStats& ws = worker_stats_[static_cast<std::size_t>(worker)];
+  if (stolen) {
+    sc.stolen_ns.fetch_add(busy, std::memory_order_relaxed);
+    ws.stolen_ns += busy;
+  }
   ws.busy_ns += busy;
   ws.items += 1;
   complete_task();
@@ -292,7 +318,7 @@ std::uint64_t StealingEngine::run_forward(int /*worker*/, const Task& task,
   }
   if (!last) {
     fwd_flow_[static_cast<std::size_t>(m)] = std::move(out);
-    enqueue({Task::Kind::Forward, s + 1, m});
+    forward_ready(s + 1, m);
     return busy;
   }
   // Tail stage: loss into this microbatch's slot (slots are merged in
@@ -347,16 +373,23 @@ std::uint64_t StealingEngine::run_backward(int /*worker*/, const Task& task,
     mark_backward_ready(s - 1, m);
   }
   // Advance this stage's backward chain: the successor was parked if its
-  // gradient arrived while we were running.
+  // gradient arrived while we were running, and the credit it returns
+  // admits the forward the gate parked at the new bound.
   bool notify = false;
   {
     util::MutexLock lock(sched_m_);
+    const auto row = static_cast<std::size_t>(s) * static_cast<std::size_t>(n);
     next_bwd_[static_cast<std::size_t>(s)] = m + 1;
-    if (m + 1 < n &&
-        bwd_ready_[static_cast<std::size_t>(s) * static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(m) + 1] != 0) {
+    --in_flight_[static_cast<std::size_t>(s)];
+    if (m + 1 < n && bwd_ready_[row + static_cast<std::size_t>(m) + 1] != 0) {
       queues_[static_cast<std::size_t>(s)]->push({Task::Kind::Backward, s, m + 1});
       ++push_version_;
+      notify = true;
+    }
+    const int admit = m + credits(s);
+    if (admit < n && fwd_parked_[row + static_cast<std::size_t>(admit)] != 0) {
+      fwd_parked_[row + static_cast<std::size_t>(admit)] = 0;
+      admit_forward(s, admit);
       notify = true;
     }
   }
@@ -410,13 +443,12 @@ StealingEngine::StepResult StealingEngine::forward_backward(
     push_version_ = 0;
     std::fill(next_bwd_.begin(), next_bwd_.end(), 0);
     std::fill(bwd_ready_.begin(), bwd_ready_.end(), 0);
+    std::fill(fwd_parked_.begin(), fwd_parked_.end(), 0);
+    std::fill(in_flight_.begin(), in_flight_.end(), 0);
     mb_error_.clear();
   }
-  // Workers are parked in the pool barrier, so the seed tasks can be
-  // enqueued without notifications.
-  for (int m = 0; m < n; ++m) {
-    queues_[0]->push({Task::Kind::Forward, 0, m});
-  }
+  // The seed forwards pass through the same credit gate as every other.
+  for (int m = 0; m < n; ++m) forward_ready(0, m);
   pool_->run_generation();
   mb_targets_ = nullptr;
   mb_head_ = nullptr;
@@ -476,10 +508,17 @@ void StealingEngine::reset_stage_stats() {
     c.stolen_ns.store(0, std::memory_order_relaxed);
   }
   worker_stats_.assign(worker_stats_.size(), StageStats{});
+  util::MutexLock lock(sched_m_);
+  std::fill(peak_in_flight_.begin(), peak_in_flight_.end(), 0);
 }
 
 std::vector<StealingEngine::StageStats> StealingEngine::worker_stats() const {
   return worker_stats_;
+}
+
+std::vector<int> StealingEngine::peak_in_flight() const {
+  util::MutexLock lock(sched_m_);
+  return peak_in_flight_;
 }
 
 std::uint64_t StealingEngine::total_steals() const {

@@ -58,15 +58,14 @@ struct StealRecord {
 /// PipeMare semantics are preserved exactly: a stolen task executes with
 /// the *owner stage's* weight version — every (stage, microbatch) forward
 /// and backward parameter view is assembled through the same shared
-/// WeightVersions snapshot protocol the sequential and threaded engines
-/// use, so the delay distribution (Table 1) does not depend on which
-/// worker runs the task.
+/// WeightVersions snapshot protocol the sequential engine uses, so the
+/// delay distribution (Table 1) does not depend on which worker runs the
+/// task.
 ///
 /// Stronger still, the engine's numerics are *scheduling-independent by
 /// construction*, so training curves are bitwise-identical to the
-/// "sequential" and "threaded" engines whether stealing is off, on, or
-/// forced (tests assert both), and bitwise run-to-run reproducible in
-/// every mode:
+/// "sequential" engine whether stealing is off, on, or forced (tests
+/// assert it), and bitwise run-to-run reproducible in every mode:
 ///  1. weight views are pure functions of (stage, micro, step) through
 ///     WeightVersions, frozen within a minibatch;
 ///  2. forwards of a stage touch disjoint per-microbatch caches and
@@ -82,9 +81,18 @@ struct StealRecord {
 /// The StealMode therefore only changes *which worker* runs a task and
 /// when — wall-clock, busy spread, steal counters — never the floats.
 ///
+/// Memory is bounded the same way in every mode: the backward chain also
+/// carries PipeDream's 1F1B admission rule. Forward(s, m) becomes ready
+/// only once its input arrived AND m < next_bwd(s) + min(N, P - s), so
+/// stage s holds at most min(N, P - s) microbatches' activations however
+/// the work is scheduled. The gate cannot deadlock: every stage's chain
+/// has passed the lowest unfinished microbatch's predecessors, so that
+/// microbatch is always admissible.
+///
 /// The surface matches the core::train_loop engine concept /
-/// core::ExecutionBackend interface. Unsupported: activation
-/// recomputation (an analytic-engine feature), as in ThreadedEngine.
+/// core::ExecutionBackend interface. With StealMode::Disabled and W = P
+/// it is stage-per-thread execution, registered as "threaded".
+/// Unsupported: activation recomputation (an analytic-engine feature).
 class StealingEngine {
  public:
   using StepResult = pipeline::StepResult;
@@ -157,6 +165,13 @@ class StealingEngine {
   /// under stealing — a stage's compute is its compute wherever it runs).
   std::vector<StageStats> worker_stats() const;
 
+  /// Per-stage peak of forwards admitted minus backwards completed (an
+  /// upper bound on forwards started minus backwards done), since
+  /// construction or the last reset_stage_stats. The 1F1B credit gate
+  /// keeps stage s at or below max(1, min(N, P - s)). Call between
+  /// minibatches.
+  std::vector<int> peak_in_flight() const;
+
   /// The steal log (populated in the deterministic modes or when
   /// cfg.record_log is set; capped — see dropped_log_entries()). Call
   /// between minibatches; the returned reference stays valid until the
@@ -191,7 +206,13 @@ class StealingEngine {
   /// Run one task's compute; returns the busy nanoseconds spent.
   std::uint64_t run_forward(int worker, const Task& task, std::vector<float>& w);
   std::uint64_t run_backward(int worker, const Task& task, std::vector<float>& w);
-  void enqueue(const Task& task);
+  /// Forward(stage, micro)'s input has arrived: enqueues it if the 1F1B
+  /// credit gate admits it, else parks it for the backward chain to
+  /// release.
+  void forward_ready(int stage, int micro);
+  /// Credit allowance of `stage`: min(N, P - stage), always >= 1.
+  int credits(int stage) const;
+  void admit_forward(int stage, int micro) REQUIRES(sched_m_);
   /// Marks Backward(stage, micro)'s gradient input as available and
   /// enqueues it if its predecessor in the stage's backward chain is done.
   void mark_backward_ready(int stage, int micro);
@@ -229,8 +250,9 @@ class StealingEngine {
   std::atomic<bool> mb_failed_{false};
   std::string mb_error_ GUARDED_BY(sched_m_);  ///< first worker exception
 
-  // Scheduler state: remaining task count, push notification version, and
-  // the backward-chain gates, all GUARDED_BY(sched_m_) — a Clang
+  // Scheduler state: remaining task count, push notification version, the
+  // backward-chain gates and the forward credit gates, all
+  // GUARDED_BY(sched_m_) — a Clang
   // -Wthread-safety build proves the gating protocol never touches them
   // unlocked. Lock order is sched_m_ -> TaskQueue::m_
   // (enqueue-while-gating); TaskQueue ops never take sched_m_.
@@ -240,6 +262,9 @@ class StealingEngine {
   std::uint64_t push_version_ GUARDED_BY(sched_m_) = 0;
   std::vector<int> next_bwd_ GUARDED_BY(sched_m_);      ///< per stage: next micro
   std::vector<std::uint8_t> bwd_ready_ GUARDED_BY(sched_m_);  ///< [stage*N+micro]
+  std::vector<std::uint8_t> fwd_parked_ GUARDED_BY(sched_m_); ///< [stage*N+micro]
+  std::vector<int> in_flight_ GUARDED_BY(sched_m_);       ///< per stage
+  std::vector<int> peak_in_flight_ GUARDED_BY(sched_m_);  ///< per stage
 
   std::vector<StealRecord> steal_log_ GUARDED_BY(sched_m_);
   std::uint64_t dropped_log_entries_ GUARDED_BY(sched_m_) = 0;

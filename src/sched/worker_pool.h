@@ -12,9 +12,9 @@ namespace pipemare::sched {
 /// A persistent pool of W worker threads driven in *generations*: the
 /// owner calls run_generation(), every worker runs the body exactly once
 /// (with its worker index), and run_generation returns when all W bodies
-/// have finished. This is the release/collect barrier ThreadedEngine and
-/// ThreadedHogwildEngine each hand-roll, extracted so the stealing engine
-/// (and future substrates) can reuse it.
+/// have finished. It is the only owner of threads in the library: the
+/// stealing engine (and with it the "threaded" backend), the threaded
+/// Hogwild engine and the serving runtime all run on it.
 ///
 /// The barrier also carries the memory-ordering contract the engines rely
 /// on: everything the owner writes before run_generation() is visible to

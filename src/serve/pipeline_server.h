@@ -79,13 +79,17 @@ struct ServeCounters {
 /// continuous batching in the vLLM sense, restricted to whole-forward
 /// requests.
 ///
-/// Parity. Every in-tree module computes row i of a batched forward from
-/// row i of the input alone (scalar kernels; per-row normalization,
-/// attention and softmax; Dropout is identity when training = false), so a
-/// request's rows of the batched output are bitwise-identical to running
-/// model.forward on that request alone — regardless of worker count, batch
-/// policy, or who stole which stage. tests/test_serve.cpp asserts this
-/// across the whole grid; it is the serving analogue of the training
+/// Parity. A module that computes row i of a batched forward from row i of
+/// the input alone (scalar kernels; per-row normalization, attention and
+/// softmax; Dropout is identity when training = false) makes a request's
+/// rows of the batched output bitwise-identical to running model.forward
+/// on that request alone — regardless of worker count, batch policy, or
+/// who stole which stage. Every in-tree module does, except
+/// nn::BatchNorm2d: it normalizes with the statistics of the whole
+/// microbatch, so a BatchNorm model's responses depend on which requests
+/// share a batch (serve it with max_batch = 1 where that matters).
+/// tests/test_serve.cpp asserts parity across the whole grid on
+/// BatchNorm-free models; it is the serving analogue of the training
 /// engines' bitwise-parity invariant.
 ///
 /// Concurrency contracts. All scheduler state (slot occupancy, counters,

@@ -91,31 +91,6 @@ TEST(HogwildValidation, RejectsBadConfigs) {
   EXPECT_THROW(ThreadedHogwildEngine(fx.model, bad_workers, 1), std::invalid_argument);
 }
 
-namespace {
-
-/// A module that really does mutate state in forward, to keep the
-/// whole-model-replica safety gate honest now that no in-tree module
-/// trips it.
-class StatefulProbe : public nn::Linear {
- public:
-  StatefulProbe() : nn::Linear(8, 8) {}
-  std::string name() const override { return "StatefulProbe"; }
-  bool stateful_forward() const override { return true; }
-};
-
-}  // namespace
-
-TEST(ThreadedHogwild, RejectsStatefulForwardModules) {
-  nn::Model model;
-  model.add(std::make_unique<nn::Linear>(8, 8));
-  model.add(std::make_unique<StatefulProbe>());
-  model.add(std::make_unique<nn::Linear>(8, 4));
-  EXPECT_THROW(ThreadedHogwildEngine(model, base_config(2, 2), 1),
-               std::invalid_argument);
-  // The sequential engine keeps supporting stateful-forward models.
-  EXPECT_NO_THROW(HogwildEngine(model, base_config(2, 2), 1));
-}
-
 TEST(ThreadedHogwild, AcceptsDropoutModels) {
   // Dropout masks are counter-based (pure functions of seed/step/micro/
   // element), so concurrent whole-model replicas are safe and the
@@ -198,8 +173,8 @@ TEST(ThreadedHogwild, ResolvesWorkerCount) {
 }
 
 TEST(ThreadedHogwild, PerWorkerStatsCountProcessedMicrobatches) {
-  // Parity with ThreadedEngine's load instrumentation: per-worker busy /
-  // pop-wait counters behind the same stage_stats() surface, so
+  // Parity with the stage-partitioned backends' load instrumentation:
+  // per-worker busy / idle counters behind the same stage_stats() surface, so
   // core::StageLoadObserver samples every multithreaded backend uniformly.
   const int n = 6;
   HogwildFixture fx(n);
@@ -421,7 +396,7 @@ TEST(ThreadedHogwild, TrainsQuadraticWorkloadToSequentialLoss) {
 }
 
 TEST(Trainer, HogwildExecutionRejectsRecompute) {
-  // Parity with ThreadedEngine: recomputation is modelled only by the
+  // Parity with the "threaded" backend: recomputation is modelled only by the
   // analytic engine, so the Hogwild backend must reject it rather than
   // silently dropping the setting.
   data::RegressionConfig rc;

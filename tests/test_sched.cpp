@@ -2,7 +2,7 @@
 // mechanics (single-owner order + concurrent stealers), StealPolicy
 // ranking/refresh/parsing, WorkerPool generations, and the StealingEngine
 // guarantees the ISSUE acceptance criteria name — steals-disabled bitwise
-// parity vs the threaded engine, forced-steal bitwise parity vs the
+// parity vs the "threaded" backend, forced-steal bitwise parity vs the
 // sequential engine, a (P, N, W) stress sweep asserting no task is lost or
 // run twice, run-to-run reproducible curves in deterministic steal mode,
 // and steal counts surfacing through core::StageLoadObserver.
@@ -26,7 +26,6 @@
 #include "src/nn/linear.h"
 #include "src/nn/model.h"
 #include "src/pipeline/engine.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/sched/steal_policy.h"
 #include "src/sched/stealing_engine.h"
 #include "src/sched/task_queue.h"
@@ -248,9 +247,11 @@ TEST(StealingEngine, StealsDisabledBitwiseMatchesThreaded) {
                       pipeline::Method::PipeMare}) {
     MlpFixture fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
     auto cfg = steal_config(method, 4, 4, /*workers=*/4, StealMode::Disabled);
-    pipeline::ThreadedEngine thr(fx.model, cfg.engine, 1);
+    MlpFixture ref_fx(/*layers=*/4, /*width=*/12, /*classes=*/6, /*num_micro=*/4);
+    auto thr = core::BackendRegistry::instance().create(std::move(ref_fx.model),
+                                                        "threaded", cfg.engine, 1);
     StealingEngine eng(fx.model, cfg, 1);
-    expect_bitwise_parity(thr, eng, fx, 4, pipeline::method_name(method));
+    expect_bitwise_parity(*thr, eng, fx, 4, pipeline::method_name(method));
     EXPECT_EQ(eng.total_steals(), 0u);
     EXPECT_TRUE(eng.steal_log().empty());
   }
@@ -318,6 +319,11 @@ TEST(StealingEngine, StressSweepNoTaskLostOrRunTwice) {
         }
         EXPECT_EQ(worker_items, total_items) << label;
         EXPECT_EQ(worker_steals, eng.total_steals()) << label;
+        std::uint64_t worker_stolen_ns = 0;
+        std::uint64_t stage_stolen_ns = 0;
+        for (const auto& ws : eng.worker_stats()) worker_stolen_ns += ws.stolen_ns;
+        for (const auto& st : stats) stage_stolen_ns += st.stolen_ns;
+        EXPECT_EQ(worker_stolen_ns, stage_stolen_ns) << label;
       }
     }
   }

@@ -1,13 +1,21 @@
+// The "threaded" registry backend: stage-per-thread scheduling on the
+// worker pool (sched::StealingEngine with one worker per stage and
+// stealing disabled). Bitwise parity with the sequential PipelineEngine
+// for every method and partition, the per-stage load counters, the
+// non-finite contract, and the 1F1B in-flight bound swept over (P, N) and
+// over stealing schedules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
+#include <memory>
+#include <string>
+#include <variant>
 #include <vector>
 
+#include "src/core/backend.h"
+#include "src/core/engine_backend.h"
 #include "src/core/stage_load.h"
 #include "src/core/task.h"
 #include "src/core/trainer.h"
@@ -18,26 +26,43 @@
 #include "src/nn/resnet.h"
 #include "src/pipeline/engine.h"
 #include "src/pipeline/partition.h"
-#include "src/pipeline/stage_mailbox.h"
-#include "src/pipeline/threaded_engine.h"
 #include "src/util/rng.h"
 
 namespace pipemare::pipeline {
 namespace {
 
+using Backend = std::unique_ptr<core::ExecutionBackend>;
+
+Backend make_backend(nn::Model model, const core::BackendConfig& backend,
+                     const EngineConfig& ec) {
+  return core::BackendRegistry::instance().create(std::move(model), backend, ec, 1);
+}
+
+Backend make_threaded(nn::Model model, const EngineConfig& ec) {
+  return make_backend(std::move(model), "threaded", ec);
+}
+
+/// The engine behind a "threaded" / "threaded_steal" backend.
+const sched::StealingEngine& steal_engine(const core::ExecutionBackend& backend) {
+  return dynamic_cast<const core::ThreadedStealBackend&>(backend).engine();
+}
+
+nn::Model make_parity_model() {
+  nn::ResNetConfig mc;
+  mc.base_channels = 8;
+  mc.blocks_per_group = {1, 1};
+  return nn::make_resnet(mc);
+}
+
 /// Small CNN + random classification microbatches shared by the parity
 /// tests (same recipe as bench/micro_engine's engine benchmark).
 struct ParityFixture {
-  nn::Model model;
+  nn::Model model = make_parity_model();
   nn::ClassificationXent head;
   std::vector<nn::Flow> inputs;
   std::vector<tensor::Tensor> targets;
 
   explicit ParityFixture(int num_micro, std::uint64_t seed = 3) {
-    nn::ResNetConfig mc;
-    mc.base_channels = 8;
-    mc.blocks_per_group = {1, 1};
-    model = nn::make_resnet(mc);
     util::Rng rng(seed);
     for (int m = 0; m < num_micro; ++m) {
       nn::Flow f;
@@ -61,23 +86,24 @@ EngineConfig parity_config(Method method, int stages, int micro) {
   return ec;
 }
 
-/// Runs `steps` SGD steps on both engines and asserts bitwise-equal
-/// losses, gradients and weights at every step.
-void expect_bitwise_parity(EngineConfig ec, int steps) {
-  ParityFixture fx(ec.num_microbatches);
-  PipelineEngine seq(fx.model, ec, 1);
-  ThreadedEngine thr(fx.model, ec, 1);
+/// Runs `steps` SGD steps on the sequential engine and `thr`, asserting
+/// bitwise-equal losses and gradients at every step and equal weights at
+/// the end.
+void expect_parity_steps(PipelineEngine& seq, core::ExecutionBackend& thr,
+                         const std::vector<nn::Flow>& inputs,
+                         const std::vector<tensor::Tensor>& targets,
+                         const nn::LossHead& head, int steps, const std::string& label) {
   for (int step = 0; step < steps; ++step) {
-    auto rs = seq.forward_backward(fx.inputs, fx.targets, fx.head);
-    auto rt = thr.forward_backward(fx.inputs, fx.targets, fx.head);
-    ASSERT_EQ(rs.finite, rt.finite) << "step " << step;
-    ASSERT_DOUBLE_EQ(rs.loss, rt.loss) << "step " << step;
-    ASSERT_DOUBLE_EQ(rs.correct, rt.correct) << "step " << step;
+    auto rs = seq.forward_backward(inputs, targets, head);
+    auto rt = thr.forward_backward(inputs, targets, head);
+    ASSERT_EQ(rs.finite, rt.finite) << label << " step " << step;
+    ASSERT_DOUBLE_EQ(rs.loss, rt.loss) << label << " step " << step;
+    ASSERT_DOUBLE_EQ(rs.correct, rt.correct) << label << " step " << step;
     auto gs = seq.gradients();
     auto gt = thr.gradients();
-    ASSERT_EQ(gs.size(), gt.size());
+    ASSERT_EQ(gs.size(), gt.size()) << label;
     for (std::size_t i = 0; i < gs.size(); ++i) {
-      ASSERT_EQ(gs[i], gt[i]) << "grad " << i << " at step " << step;
+      ASSERT_EQ(gs[i], gt[i]) << label << " grad " << i << " at step " << step;
     }
     for (std::size_t i = 0; i < gs.size(); ++i) {
       seq.weights()[i] -= 0.05F * gs[i];
@@ -87,32 +113,40 @@ void expect_bitwise_parity(EngineConfig ec, int steps) {
     thr.commit_update();
   }
   for (std::size_t i = 0; i < seq.weights().size(); ++i) {
-    ASSERT_EQ(seq.weights()[i], thr.weights()[i]) << "weight " << i;
+    ASSERT_EQ(seq.weights()[i], thr.weights()[i]) << label << " weight " << i;
   }
 }
 
-TEST(ThreadedEngine, BitwiseParityWithSequentialSync) {
+void expect_bitwise_parity(EngineConfig ec, int steps) {
+  ParityFixture fx(ec.num_microbatches);
+  PipelineEngine seq(fx.model, ec, 1);
+  auto thr = make_threaded(make_parity_model(), ec);
+  expect_parity_steps(seq, *thr, fx.inputs, fx.targets, fx.head, steps,
+                      method_name(ec.method));
+}
+
+TEST(ThreadedBackend, BitwiseParityWithSequentialSync) {
   expect_bitwise_parity(parity_config(Method::Sync, 4, 4), 5);
 }
 
-TEST(ThreadedEngine, BitwiseParityWithSequentialPipeDream) {
+TEST(ThreadedBackend, BitwiseParityWithSequentialPipeDream) {
   expect_bitwise_parity(parity_config(Method::PipeDream, 4, 4), 5);
 }
 
-TEST(ThreadedEngine, BitwiseParityWithSequentialPipeMare) {
+TEST(ThreadedBackend, BitwiseParityWithSequentialPipeMare) {
   expect_bitwise_parity(parity_config(Method::PipeMare, 4, 4), 5);
 }
 
-TEST(ThreadedEngine, BitwiseParityWithDiscrepancyCorrection) {
+TEST(ThreadedBackend, BitwiseParityWithDiscrepancyCorrection) {
   auto ec = parity_config(Method::PipeMare, 6, 2);
   ec.discrepancy_correction = true;
   ec.decay_d = 0.25;
   expect_bitwise_parity(ec, 5);
 }
 
-TEST(ThreadedEngine, BitwiseParityWithSplitBiasUnits) {
+TEST(ThreadedBackend, BitwiseParityWithSplitBiasUnits) {
   // split_bias can schedule a module's bias unit on the stage after the
-  // one executing the module; the threaded engine must still version that
+  // one executing the module; the threaded backend must still version that
   // unit by its own scheduled stage.
   ParityFixture fx(2);
   int stages = max_stages(fx.model, true);
@@ -121,11 +155,11 @@ TEST(ThreadedEngine, BitwiseParityWithSplitBiasUnits) {
   expect_bitwise_parity(ec, 3);
 }
 
-TEST(ThreadedEngine, SingleStageDegeneratesToSequential) {
+TEST(ThreadedBackend, SingleStageDegeneratesToSequential) {
   expect_bitwise_parity(parity_config(Method::PipeMare, 1, 4), 3);
 }
 
-TEST(ThreadedEngine, BitwiseParityWithBalancedPartition) {
+TEST(ThreadedBackend, BitwiseParityWithBalancedPartition) {
   // Both engines derive the same cost-balanced partition from the shared
   // spec, so the parity guarantee is strategy-independent.
   ParityFixture fx(4);
@@ -133,34 +167,21 @@ TEST(ThreadedEngine, BitwiseParityWithBalancedPartition) {
   ec.partition.strategy = PartitionStrategy::Balanced;
   ec.partition.probe = std::make_shared<const nn::Flow>(fx.inputs.at(0));
   PipelineEngine seq(fx.model, ec, 1);
-  ThreadedEngine thr(fx.model, ec, 1);
-  EXPECT_EQ(seq.partition().unit_stage, thr.partition().unit_stage);
-  EXPECT_EQ(thr.partition().strategy, PartitionStrategy::Balanced);
-  for (int step = 0; step < 3; ++step) {
-    auto rs = seq.forward_backward(fx.inputs, fx.targets, fx.head);
-    auto rt = thr.forward_backward(fx.inputs, fx.targets, fx.head);
-    ASSERT_DOUBLE_EQ(rs.loss, rt.loss) << "step " << step;
-    auto gs = seq.gradients();
-    auto gt = thr.gradients();
-    for (std::size_t i = 0; i < gs.size(); ++i) {
-      ASSERT_EQ(gs[i], gt[i]) << "grad " << i << " at step " << step;
-    }
-    for (std::size_t i = 0; i < gs.size(); ++i) {
-      seq.weights()[i] -= 0.05F * gs[i];
-      thr.weights()[i] -= 0.05F * gt[i];
-    }
-    seq.commit_update();
-    thr.commit_update();
-  }
+  auto thr = make_threaded(make_parity_model(), ec);
+  ASSERT_NE(thr->partition(), nullptr);
+  EXPECT_EQ(seq.partition().unit_stage, thr->partition()->unit_stage);
+  EXPECT_EQ(thr->partition()->strategy, PartitionStrategy::Balanced);
+  expect_parity_steps(seq, *thr, fx.inputs, fx.targets, fx.head, 3, "balanced");
 }
 
-TEST(ThreadedEngine, StageStatsTrackPerStageLoad) {
+TEST(ThreadedBackend, StageStatsTrackPerStageLoad) {
   const int stages = 3;
   const int micro = 4;
   ParityFixture fx(micro);
-  ThreadedEngine thr(fx.model, parity_config(Method::PipeMare, stages, micro), 1);
+  auto thr = make_threaded(make_parity_model(),
+                           parity_config(Method::PipeMare, stages, micro));
 
-  auto before = thr.stage_stats();
+  auto before = thr->stage_stats();
   ASSERT_EQ(before.size(), static_cast<std::size_t>(stages));
   for (const auto& s : before) {
     EXPECT_EQ(s.busy_ns, 0u);
@@ -169,23 +190,22 @@ TEST(ThreadedEngine, StageStatsTrackPerStageLoad) {
 
   const int steps = 2;
   for (int step = 0; step < steps; ++step) {
-    (void)thr.forward_backward(fx.inputs, fx.targets, fx.head);
-    thr.commit_update();
+    (void)thr->forward_backward(fx.inputs, fx.targets, fx.head);
+    thr->commit_update();
   }
 
-  auto after = thr.stage_stats();
+  auto after = thr->stage_stats();
   for (int s = 0; s < stages; ++s) {
     const auto& st = after[static_cast<std::size_t>(s)];
     EXPECT_GT(st.busy_ns, 0u) << "stage " << s;
-    // The tail stage fuses F+B and pops only its N forwards; every other
-    // stage pops N forwards + N backwards per minibatch.
-    auto expected_items =
-        static_cast<std::uint64_t>(steps * micro * (s == stages - 1 ? 1 : 2));
-    EXPECT_EQ(st.items, expected_items) << "stage " << s;
+    // Every stage, the tail included, runs N forwards + N backwards per
+    // minibatch; nothing is stolen with stealing disabled.
+    EXPECT_EQ(st.items, static_cast<std::uint64_t>(steps * micro * 2)) << "stage " << s;
+    EXPECT_EQ(st.stolen_items, 0u) << "stage " << s;
   }
 
-  thr.reset_stage_stats();
-  for (const auto& s : thr.stage_stats()) {
+  thr->reset_stage_stats();
+  for (const auto& s : thr->stage_stats()) {
     EXPECT_EQ(s.busy_ns, 0u);
     EXPECT_EQ(s.pop_wait_ns, 0u);
     EXPECT_EQ(s.push_wait_ns, 0u);
@@ -193,14 +213,14 @@ TEST(ThreadedEngine, StageStatsTrackPerStageLoad) {
   }
 }
 
-TEST(ThreadedEngine, StageLoadObserverSamplesEpochDeltas) {
+TEST(ThreadedBackend, StageLoadObserverSamplesEpochDeltas) {
   ParityFixture fx(2);
-  ThreadedEngine thr(fx.model, parity_config(Method::PipeMare, 2, 2), 1);
-  core::StageLoadObserver load(thr);
+  auto thr = make_threaded(make_parity_model(), parity_config(Method::PipeMare, 2, 2));
+  core::StageLoadObserver load(*thr);
   ASSERT_TRUE(load.active());
   for (int epoch = 0; epoch < 2; ++epoch) {
-    (void)thr.forward_backward(fx.inputs, fx.targets, fx.head);
-    thr.commit_update();
+    (void)thr->forward_backward(fx.inputs, fx.targets, fx.head);
+    thr->commit_update();
     core::EpochRecord rec;
     load.on_epoch(rec);
   }
@@ -212,12 +232,10 @@ TEST(ThreadedEngine, StageLoadObserverSamplesEpochDeltas) {
   EXPECT_GE(core::StageLoadObserver::busy_spread(load.totals()), 1.0);
 }
 
-TEST(ThreadedEngine, BitwiseParityWithDropoutStreams) {
+TEST(ThreadedBackend, BitwiseParityWithDropoutStreams) {
   // Dropout masks are counter-based: pure functions of (module seed, step,
-  // micro, element) stamped on the Flow, so the threaded engine reproduces
+  // micro, element) stamped on the Flow, so the threaded backend reproduces
   // the sequential engine's masks bitwise regardless of worker timing.
-  // Each engine gets its own (identically seeded) model; with stateless
-  // modules even sharing one model would be safe.
   data::TranslationConfig d;
   d.vocab = 12;
   d.seq_len = 5;
@@ -233,55 +251,42 @@ TEST(ThreadedEngine, BitwiseParityWithDropoutStreams) {
   mc.dropout = 0.3;
   core::TranslationTask task(d, mc, "tiny-dropout", /*eval=*/8);
   nn::Model model_seq = task.build_model();
-  nn::Model model_thr = task.build_model();
 
   auto ec = parity_config(Method::PipeMare, 4, 2);
   PipelineEngine seq(model_seq, ec, 1);
-  ThreadedEngine thr(model_thr, ec, 1);
+  auto thr = make_threaded(task.build_model(), ec);
 
   auto mb = task.minibatch({0, 1, 2, 3}, 2);
-  for (int step = 0; step < 3; ++step) {
-    auto rs = seq.forward_backward(mb.inputs, mb.targets, task.loss());
-    auto rt = thr.forward_backward(mb.inputs, mb.targets, task.loss());
-    ASSERT_DOUBLE_EQ(rs.loss, rt.loss) << "step " << step;
-    auto gs = seq.gradients();
-    auto gt = thr.gradients();
-    for (std::size_t i = 0; i < gs.size(); ++i) {
-      ASSERT_EQ(gs[i], gt[i]) << "grad " << i << " at step " << step;
-    }
-    for (std::size_t i = 0; i < gs.size(); ++i) {
-      seq.weights()[i] -= 0.05F * gs[i];
-      thr.weights()[i] -= 0.05F * gt[i];
-    }
-    seq.commit_update();
-    thr.commit_update();
-  }
+  expect_parity_steps(seq, *thr, mb.inputs, mb.targets, task.loss(), 3, "dropout");
 }
 
-TEST(ThreadedEngine, MatchesSequentialStalenessStatistics) {
+TEST(ThreadedBackend, MatchesSequentialStalenessStatistics) {
   auto ec = parity_config(Method::PipeMare, 8, 4);
   ParityFixture fx(ec.num_microbatches);
   PipelineEngine seq(fx.model, ec, 1);
-  ThreadedEngine thr(fx.model, ec, 1);
+  auto thr = make_threaded(make_parity_model(), ec);
   auto tau_s = seq.stage_tau_fwd();
-  auto tau_t = thr.stage_tau_fwd();
+  auto tau_t = thr->stage_tau_fwd();
   ASSERT_EQ(tau_s.size(), tau_t.size());
   for (std::size_t s = 0; s < tau_s.size(); ++s) {
     EXPECT_DOUBLE_EQ(tau_s[s], tau_t[s]);
     // The paper's closed form (2(P-i)+1)/N for 1-indexed stage i.
     EXPECT_DOUBLE_EQ(tau_t[s], (2.0 * (8 - 1 - static_cast<double>(s)) + 1.0) / 4.0);
   }
-  EXPECT_EQ(thr.num_workers(), 8);
+  // Stage-per-thread: one home worker per stage, stealing disabled.
+  const auto& eng = steal_engine(*thr);
+  EXPECT_EQ(eng.num_workers(), 8);
+  EXPECT_EQ(eng.config().mode, sched::StealMode::Disabled);
+  EXPECT_EQ(thr->name(), "threaded");
 }
 
-TEST(ThreadedEngine, RejectsRecomputeSegments) {
-  ParityFixture fx(2);
+TEST(ThreadedBackend, RejectsRecomputeSegments) {
   auto ec = parity_config(Method::PipeMare, 4, 2);
   ec.recompute_segments = 2;
-  EXPECT_THROW(ThreadedEngine(fx.model, ec, 1), std::invalid_argument);
+  EXPECT_THROW(make_threaded(make_parity_model(), ec), std::invalid_argument);
 }
 
-TEST(ThreadedEngine, TrainLoopParityOnTinyTranslation) {
+TEST(ThreadedBackend, TrainLoopParityOnTinyTranslation) {
   // End-to-end: core::train drives either engine to the same loss
   // trajectory and metric curve (Sync and fully-async PipeMare).
   data::TranslationConfig d;
@@ -327,98 +332,6 @@ TEST(ThreadedEngine, TrainLoopParityOnTinyTranslation) {
   }
 }
 
-TEST(StageMailbox, PopDrainsBackwardLaneFirst) {
-  StageMailbox box(4, StageMailbox::kUnboundedCredits);
-  StageItem f;
-  f.kind = StageItem::Kind::Forward;
-  f.micro = 0;
-  box.push_forward(std::move(f));
-  StageItem b;
-  b.kind = StageItem::Kind::Backward;
-  b.micro = 1;
-  box.push_backward(std::move(b));
-  EXPECT_EQ(box.pop().kind, StageItem::Kind::Backward);
-  EXPECT_EQ(box.pop().kind, StageItem::Kind::Forward);
-}
-
-TEST(StageMailbox, PushBackwardNeverBlocks) {
-  // The backward lane has no capacity wait: pushing far beyond the forward
-  // capacity from the test thread must not deadlock.
-  StageMailbox box(1, 1);
-  for (int i = 0; i < 16; ++i) {
-    box.push_backward({StageItem::Kind::Backward, i, {}});
-  }
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(box.pop().micro, i);
-  }
-  EXPECT_EQ(box.stats().bwd_high_water, 16u);
-}
-
-TEST(StageMailbox, CreditGatesForwardPops) {
-  // credits = 1: a second forward is admitted only after the first round
-  // trip completes (a Backward pop or complete_inflight).
-  StageMailbox box(4, 1);
-  box.push_forward({StageItem::Kind::Forward, 0, {}});
-  box.push_forward({StageItem::Kind::Forward, 1, {}});
-  EXPECT_EQ(box.pop().micro, 0);  // in-flight: 1 of 1
-
-  std::atomic<bool> popped{false};
-  std::thread consumer([&] {
-    StageItem item = box.pop();  // gated: must wait for the round trip
-    EXPECT_EQ(item.kind, StageItem::Kind::Backward);
-    EXPECT_EQ(item.micro, 7);
-    popped.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(popped.load()) << "forward admitted past the credit bound";
-  // The returning backward is always admissible; popping it completes the
-  // round trip, after which forward 1 becomes admissible too.
-  box.push_backward({StageItem::Kind::Backward, 7, {}});
-  consumer.join();
-  EXPECT_TRUE(popped.load());
-  EXPECT_EQ(box.pop().micro, 1);
-  EXPECT_EQ(box.stats().inflight_high_water, 1u);
-}
-
-TEST(StageMailbox, CompleteInflightReturnsFusedCredit) {
-  // The tail stage fuses F+B and never pops Backward items; its explicit
-  // credit return must re-admit the next forward (no deadlock).
-  StageMailbox box(4, 1);
-  box.push_forward({StageItem::Kind::Forward, 0, {}});
-  box.push_forward({StageItem::Kind::Forward, 1, {}});
-  EXPECT_EQ(box.pop().micro, 0);
-  box.complete_inflight();  // same-thread consumer: no notify needed
-  EXPECT_EQ(box.pop().micro, 1);
-}
-
-TEST(StageMailbox, BackwardPopCompletesRoundTrip) {
-  StageMailbox box(4, 1);
-  box.push_forward({StageItem::Kind::Forward, 0, {}});
-  box.push_forward({StageItem::Kind::Forward, 1, {}});
-  EXPECT_EQ(box.pop().micro, 0);
-  box.push_backward({StageItem::Kind::Backward, 0, {}});
-  EXPECT_EQ(box.pop().micro, 0);  // backward first; frees the credit
-  EXPECT_EQ(box.pop().micro, 1);  // now admissible without explicit return
-}
-
-TEST(StageMailbox, TracksHighWaterMarks) {
-  StageMailbox box(3, StageMailbox::kUnboundedCredits);
-  box.push_forward({StageItem::Kind::Forward, 0, {}});
-  box.push_forward({StageItem::Kind::Forward, 1, {}});
-  box.push_backward({StageItem::Kind::Backward, 0, {}});
-  auto s = box.stats();
-  EXPECT_EQ(s.fwd_high_water, 2u);
-  EXPECT_EQ(s.bwd_high_water, 1u);
-  (void)box.pop();
-  (void)box.pop();
-  (void)box.pop();
-  s = box.stats();  // high-water marks persist across pops
-  EXPECT_EQ(s.fwd_high_water, 2u);
-  EXPECT_EQ(s.bwd_high_water, 1u);
-  box.reset_stats();
-  EXPECT_EQ(box.stats().fwd_high_water, 0u);
-}
-
 /// A deep MLP of `layers` Linear(+ReLU) blocks: `layers` weight units, so
 /// any P <= layers partitions cleanly; uniform per-layer cost.
 nn::Model make_stress_mlp(int layers, int width, int classes) {
@@ -431,18 +344,25 @@ nn::Model make_stress_mlp(int layers, int width, int classes) {
   return m;
 }
 
-TEST(ThreadedEngine, SmallLaneStressSweepHoldsOneFOneBBound) {
-  // Sweep (P, N) in {1..4} x {1..8} with the tight 1F1B lane bounds:
-  // every config must (a) stay bitwise-identical to the sequential
-  // engine (deadlock-freedom + correctness under small lanes) and
-  // (b) keep every per-lane high-water mark within the 1F1B occupancy
-  // bound min(N, P - s + 1) for 0-indexed stage s (the in-flight
-  // round-trip peak within the warmup depth min(N, P - s)).
+TEST(ThreadedBackend, StressSweepHoldsOneFOneBBound) {
+  // Sweep (P, N) in {1..4} x {1..8} over the "threaded" backend (stealing
+  // disabled, W = P) and forced stealing with W in {1, 2, 5}. Every config
+  // must (a) stay bitwise-identical to the sequential engine
+  // (deadlock-freedom + correctness under the credit gate), (b) run
+  // exactly N forwards + N backwards on every stage per step, and (c)
+  // keep each stage's peak in-flight count within the 1F1B warmup depth
+  // max(1, min(N, P - s)) for 0-indexed stage s, however the tasks are
+  // scheduled.
   constexpr int kClasses = 6;
+  constexpr int kSteps = 3;
   nn::ClassificationXent head;
+  std::vector<core::BackendConfig> schedules = {core::BackendConfig("threaded")};
+  for (int w : {1, 2, 5}) {
+    schedules.emplace_back("threaded_steal",
+                           core::StealOptions{w, sched::StealMode::Forced, false});
+  }
   for (int p = 1; p <= 4; ++p) {
     for (int n = 1; n <= 8; ++n) {
-      nn::Model model = make_stress_mlp(/*layers=*/4, /*width=*/12, kClasses);
       util::Rng rng(17);
       std::vector<nn::Flow> inputs;
       std::vector<tensor::Tensor> targets;
@@ -459,51 +379,57 @@ TEST(ThreadedEngine, SmallLaneStressSweepHoldsOneFOneBBound) {
       }
 
       auto ec = parity_config(Method::PipeMare, p, n);
-      PipelineEngine seq(model, ec, 1);
-      ThreadedEngine thr(model, ec, 1);
-      for (int step = 0; step < 3; ++step) {
-        auto rs = seq.forward_backward(inputs, targets, head);
-        auto rt = thr.forward_backward(inputs, targets, head);
-        ASSERT_DOUBLE_EQ(rs.loss, rt.loss) << "P=" << p << " N=" << n;
-        auto gs = seq.gradients();
-        auto gt = thr.gradients();
-        for (std::size_t i = 0; i < gs.size(); ++i) {
-          ASSERT_EQ(gs[i], gt[i]) << "P=" << p << " N=" << n << " grad " << i;
+      for (const auto& schedule : schedules) {
+        const auto* opts = std::get_if<core::StealOptions>(&schedule.options);
+        const std::string label = "P=" + std::to_string(p) + " N=" + std::to_string(n) +
+                                  " " + schedule.name + " W=" +
+                                  std::to_string(opts != nullptr ? opts->workers : p);
+        nn::Model model = make_stress_mlp(/*layers=*/4, /*width=*/12, kClasses);
+        PipelineEngine seq(model, ec, 1);
+        auto thr = make_backend(make_stress_mlp(/*layers=*/4, /*width=*/12, kClasses),
+                                schedule, ec);
+        std::vector<StageStats> prev = thr->stage_stats();
+        for (int step = 0; step < kSteps; ++step) {
+          expect_parity_steps(seq, *thr, inputs, targets, head, 1,
+                              label + " step " + std::to_string(step));
+          auto now = thr->stage_stats();
+          ASSERT_EQ(now.size(), static_cast<std::size_t>(p)) << label;
+          for (int s = 0; s < p; ++s) {
+            const auto idx = static_cast<std::size_t>(s);
+            EXPECT_EQ(now[idx].items - prev[idx].items, static_cast<std::uint64_t>(2 * n))
+                << label << " step " << step << " stage " << s;
+          }
+          prev = std::move(now);
         }
-        for (std::size_t i = 0; i < gs.size(); ++i) {
-          seq.weights()[i] -= 0.05F * gs[i];
-          thr.weights()[i] -= 0.05F * gt[i];
-        }
-        seq.commit_update();
-        thr.commit_update();
-      }
 
-      auto stats = thr.lane_stats();
-      ASSERT_EQ(stats.size(), static_cast<std::size_t>(p));
-      for (int s = 0; s < p; ++s) {
-        auto bound = static_cast<std::size_t>(std::min(n, p - s + 1));
-        auto warmup = static_cast<std::size_t>(std::max(1, std::min(n, p - s)));
-        const auto& ls = stats[static_cast<std::size_t>(s)];
-        EXPECT_LE(ls.fwd_high_water, bound) << "P=" << p << " N=" << n << " s=" << s;
-        EXPECT_LE(ls.bwd_high_water, bound) << "P=" << p << " N=" << n << " s=" << s;
-        EXPECT_LE(ls.inflight_high_water, warmup)
-            << "P=" << p << " N=" << n << " s=" << s;
+        auto peak = steal_engine(*thr).peak_in_flight();
+        ASSERT_EQ(peak.size(), static_cast<std::size_t>(p)) << label;
+        for (int s = 0; s < p; ++s) {
+          const int bound = std::max(1, std::min(n, p - s));
+          const int observed = peak[static_cast<std::size_t>(s)];
+          EXPECT_GE(observed, 1) << label << " s=" << s;
+          EXPECT_LE(observed, bound) << label << " s=" << s;
+        }
       }
     }
   }
 }
 
-TEST(ThreadedEngine, NonFiniteLossContractMatchesSequential) {
+TEST(ThreadedBackend, NonFiniteLossContractMatchesSequential) {
   // Unified StepResult contract: first non-finite loss, zeroed metrics.
   constexpr int kClasses = 6;
   auto ec = parity_config(Method::PipeMare, 4, 4);
   // Linear-only chain: ReLU maps NaN to 0 (x > 0 ? x : 0), so an
   // activation would wash the poison out before it reaches the loss.
-  nn::Model model;
-  for (int i = 0; i < 4; ++i) {
-    model.add(std::make_unique<nn::Linear>(12, 12));
-  }
-  model.add(std::make_unique<nn::Linear>(12, kClasses));
+  auto make_model = [&] {
+    nn::Model model;
+    for (int i = 0; i < 4; ++i) {
+      model.add(std::make_unique<nn::Linear>(12, 12));
+    }
+    model.add(std::make_unique<nn::Linear>(12, kClasses));
+    return model;
+  };
+  nn::Model model = make_model();
   nn::ClassificationXent head;
   util::Rng rng(17);
   std::vector<nn::Flow> inputs;
@@ -526,9 +452,9 @@ TEST(ThreadedEngine, NonFiniteLossContractMatchesSequential) {
     inputs[2].x[i] = std::numeric_limits<float>::quiet_NaN();
   }
   PipelineEngine seq(model, ec, 1);
-  ThreadedEngine thr(model, ec, 1);
+  auto thr = make_threaded(make_model(), ec);
   auto rs = seq.forward_backward(inputs, targets, head);
-  auto rt = thr.forward_backward(inputs, targets, head);
+  auto rt = thr->forward_backward(inputs, targets, head);
   EXPECT_FALSE(rs.finite);
   EXPECT_FALSE(rt.finite);
   EXPECT_FALSE(std::isfinite(rs.loss));
